@@ -642,6 +642,53 @@ telemetry::MetricsSnapshot run_dispatch_workload(const ArgParser& args) {
   return registry.snapshot();
 }
 
+/// One --mode: the workload it replays, the series --write-baseline
+/// re-bands, and what the PASS line reports after the check count.
+struct Mode {
+  const char* name;
+  telemetry::MetricsSnapshot (*run)(const ArgParser&);
+  const std::vector<std::string>* gated;
+  std::string (*summary)(const ArgParser&);
+};
+
+const Mode kModes[] = {
+    {"pipeline", run_workload, &kGatedSeries,
+     [](const ArgParser& args) {
+       std::ostringstream os;
+       os << format_bytes(args.get_bytes("size")) << " @ "
+          << args.get_int("streams") << " stream(s)";
+       return os.str();
+     }},
+    {"serve", run_serve_workload, &kServeGatedSeries,
+     [](const ArgParser& args) {
+       std::ostringstream os;
+       os << "serve @ " << args.get_int("serve-sessions") << " sessions";
+       return os.str();
+     }},
+    {"latency", run_latency_workload, &kLatencyGatedSeries,
+     [](const ArgParser& args) {
+       std::ostringstream os;
+       os << "latency @ " << args.get_int("latency-batches")
+          << " superbatches every " << args.get_int("latency-interval-us")
+          << " us, " << args.get_int("streams") << " stream(s)";
+       return os.str();
+     }},
+    {"cluster", run_cluster_workload, &kClusterGatedSeries,
+     [](const ArgParser& args) {
+       std::ostringstream os;
+       os << "cluster @ " << args.get_int("cluster-devices") << " device(s)";
+       return os.str();
+     }},
+    {"slo", run_slo_workload, &kSloGatedSeries,
+     [](const ArgParser&) {
+       return std::string("slo @ 4 devices, every shard ok");
+     }},
+    {"dispatch", run_dispatch_workload, &kDispatchGatedSeries,
+     [](const ArgParser& args) {
+       return "dispatch @ 3 families, force=" + args.get("dispatch-force");
+     }},
+};
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   ACGPU_CHECK(in.good(), "cannot read baseline file " << path);
@@ -695,24 +742,15 @@ int main(int argc, char** argv) {
   args.add_bool_flag("quiet", "suppress the verdict table");
   try {
     if (!args.parse(argc, argv)) return 0;
-    const std::string mode = args.get("mode");
-    ACGPU_CHECK(mode == "pipeline" || mode == "serve" || mode == "latency" ||
-                    mode == "cluster" || mode == "slo" || mode == "dispatch",
+    const std::string name = args.get("mode");
+    const Mode* mode = std::find_if(
+        std::begin(kModes), std::end(kModes),
+        [&](const Mode& m) { return name == m.name; });
+    ACGPU_CHECK(mode != std::end(kModes),
                 "--mode must be pipeline, serve, latency, cluster, slo, or "
-                "dispatch, got '" << mode << "'");
-    const bool serve_mode = mode == "serve";
-    const bool latency_mode = mode == "latency";
-    const bool cluster_mode = mode == "cluster";
-    const bool slo_mode = mode == "slo";
-    const bool dispatch_mode = mode == "dispatch";
+                "dispatch, got '" << name << "'");
 
-    const telemetry::MetricsSnapshot snapshot =
-        serve_mode      ? run_serve_workload(args)
-        : latency_mode  ? run_latency_workload(args)
-        : cluster_mode  ? run_cluster_workload(args)
-        : slo_mode      ? run_slo_workload(args)
-        : dispatch_mode ? run_dispatch_workload(args)
-                        : run_workload(args);
+    const telemetry::MetricsSnapshot snapshot = mode->run(args);
 
     const std::string snapshot_path = args.get("snapshot");
     if (!snapshot_path.empty()) {
@@ -725,13 +763,7 @@ int main(int argc, char** argv) {
     if (!write_path.empty()) {
       std::ofstream out(write_path);
       ACGPU_CHECK(out.good(), "cannot write " << write_path);
-      const std::vector<std::string>& gated =
-          serve_mode      ? kServeGatedSeries
-          : latency_mode  ? kLatencyGatedSeries
-          : cluster_mode  ? kClusterGatedSeries
-          : slo_mode      ? kSloGatedSeries
-          : dispatch_mode ? kDispatchGatedSeries
-                          : kGatedSeries;
+      const std::vector<std::string>& gated = *mode->gated;
       telemetry::write_baseline(snapshot, gated, args.get_double("slack"), out);
       std::printf("check_regression: wrote %s (re-banded %zu series)\n",
                   write_path.c_str(), gated.size());
@@ -748,37 +780,8 @@ int main(int argc, char** argv) {
     if (!args.get_bool("quiet"))
       telemetry::write_verdict_table(snapshot, baseline.value(), std::cout);
     if (verdict.pass()) {
-      if (serve_mode)
-        std::printf("check_regression: PASS (%zu checks, serve @ %lld sessions)\n",
-                    verdict.checks,
-                    static_cast<long long>(args.get_int("serve-sessions")));
-      else if (latency_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, latency @ %lld superbatches "
-            "every %lld us, %lld stream(s))\n",
-            verdict.checks,
-            static_cast<long long>(args.get_int("latency-batches")),
-            static_cast<long long>(args.get_int("latency-interval-us")),
-            static_cast<long long>(args.get_int("streams")));
-      else if (cluster_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, cluster @ %lld device(s))\n",
-            verdict.checks,
-            static_cast<long long>(args.get_int("cluster-devices")));
-      else if (slo_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, slo @ 4 devices, every "
-            "shard ok)\n",
-            verdict.checks);
-      else if (dispatch_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, dispatch @ 3 families, "
-            "force=%s)\n",
-            verdict.checks, args.get("dispatch-force").c_str());
-      else
-        std::printf("check_regression: PASS (%zu checks, %s @ %lld stream(s))\n",
-                    verdict.checks, format_bytes(args.get_bytes("size")).c_str(),
-                    static_cast<long long>(args.get_int("streams")));
+      std::printf("check_regression: PASS (%zu checks, %s)\n", verdict.checks,
+                  mode->summary(args).c_str());
       return 0;
     }
     std::printf("check_regression: FAIL (%zu of %zu checks violated)\n",

@@ -6,7 +6,7 @@
 //   ext_observability_overhead --threshold 1.25    # noisy-machine margin
 //
 // Runs the canonical BENCH_pipeline workload (Engine::scan, Timed sim,
-// kShared) twice per iteration: once with TelemetryOptions fully null and
+// kShared) twice per iteration: once with telemetry::Sinks fully null and
 // once with the always-on production set armed — metrics registry, flight
 // recorder, logger. Wall-clock host time is taken per run and the gate is
 //
@@ -17,7 +17,7 @@
 //
 // Two zero-cost claims are asserted, not measured:
 //  - Disabled is structurally free: with every telemetry pointer null,
-//    TelemetryOptions::enabled() is false and the pipeline's only cost is
+//    telemetry::Sinks::enabled() is false and the pipeline's only cost is
 //    that branch — the recorder handed to the enabled runs is asserted
 //    untouched by the disabled ones (recorded() unchanged).
 //  - Zero perturbation: telemetry must observe the simulation, never steer

@@ -68,22 +68,11 @@ Status ClusterOptions::validate() const {
   if (devices < 1 || devices > 64)
     return Status::invalid_argument("cluster devices must be in [1, 64], got " +
                                     std::to_string(devices));
-  if (!engine.telemetry.metrics_prefix.empty())
+  if (engine.telemetry != telemetry::Sinks{})
     return Status::invalid_argument(
-        "ClusterOptions::engine.telemetry.metrics_prefix is managed by the "
-        "Router (per-shard prefixes); leave it empty");
-  if (engine.host_observer != nullptr)
-    return Status::invalid_argument(
-        "set ClusterOptions::host_observer, not engine.host_observer — the "
-        "Router wires the shared observer seam into every shard");
-  if (trace && engine.telemetry.tracer != nullptr)
-    return Status::invalid_argument(
-        "ClusterOptions::trace manages per-shard tracers; leave "
-        "engine.telemetry.tracer null");
-  if (engine.telemetry.recorder != nullptr)
-    return Status::invalid_argument(
-        "set ClusterOptions::recorder, not engine.telemetry.recorder — the "
-        "Router stamps per-shard indices onto every layer's events");
+        "ClusterOptions::engine.telemetry is managed by the Router (one "
+        "per-shard Sinks built from metrics/trace/recorder/logger); leave it "
+        "defaulted");
   if (health_eval_interval == 0)
     return Status::invalid_argument("health_eval_interval must be >= 1");
   serve::ServeOptions so;
@@ -106,6 +95,10 @@ struct Router::Impl {
     std::uint64_t homed = 0;  ///< sessions currently homed here
     /// Host-span sink for this shard's serve + engine layers (trace mode).
     std::unique_ptr<telemetry::Tracer> tracer;
+    /// The shard's telemetry: the cluster sinks, this shard's tracer, the
+    /// device.<k>. prefix and shard index k. Handed unchanged to the serve
+    /// engine and the bulk engine.
+    telemetry::Sinks sinks;
     /// Last bulk-scan timeline, trimmed of matches — write_trace() exports
     /// it as this shard's simulated-device process (trace mode only).
     std::unique_ptr<pipeline::PipelineResult> last_bulk;
@@ -212,13 +205,7 @@ struct Router::Impl {
     Shard& shard = shards[k];
     if (shard.bulk != nullptr) return Status::ok();
     EngineOptions eopt = options.engine;
-    eopt.telemetry.metrics = options.metrics;
-    eopt.telemetry.metrics_prefix = "device." + std::to_string(k) + ".";
-    eopt.telemetry.tracer = shard.tracer.get();
-    eopt.telemetry.recorder = options.recorder;
-    eopt.telemetry.logger = options.logger;
-    eopt.telemetry.shard = k;
-    // host_observer stays null: the engine inherits the device's seam.
+    eopt.telemetry = shard.sinks;
     Result<Engine> engine = Engine::create(*shard.device, patterns, eopt);
     if (!engine.is_ok()) return engine.status();
     shard.bulk = std::make_unique<Engine>(std::move(engine).value());
@@ -333,7 +320,6 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
 
   impl->shards.reserve(options.devices);
   for (std::uint32_t k = 0; k < options.devices; ++k) {
-    const std::string prefix = "device." + std::to_string(k) + ".";
     DeviceOptions dopt;
     dopt.gpu = options.engine.gpu;
     dopt.memory_bytes = options.engine.device_memory_bytes;
@@ -345,15 +331,16 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     Impl::Shard shard;
     shard.device = std::make_unique<Device>(std::move(device).value());
     if (options.trace) shard.tracer = std::make_unique<telemetry::Tracer>();
+    shard.sinks.metrics = options.metrics;
+    shard.sinks.tracer = shard.tracer.get();
+    shard.sinks.recorder = options.recorder;
+    shard.sinks.logger = options.logger;
+    shard.sinks.metrics_prefix = dopt.name + ".";
+    shard.sinks.shard = k;
 
     serve::ServeOptions so;
     so.engine = options.engine;
-    so.engine.telemetry.metrics = options.metrics;
-    so.engine.telemetry.metrics_prefix = prefix;
-    so.engine.telemetry.tracer = shard.tracer.get();
-    so.engine.telemetry.recorder = options.recorder;
-    so.engine.telemetry.logger = options.logger;
-    so.engine.telemetry.shard = k;
+    so.engine.telemetry = shard.sinks;
     so.device = shard.device.get();
     so.session_id_namespace = shard_namespace(k);
     so.max_sessions = options.max_sessions_per_shard;
@@ -364,10 +351,7 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     so.background = options.background;
     so.admission = options.admission;
     so.metrics = options.metrics;
-    so.metrics_prefix = prefix;
     so.tracer = shard.tracer.get();
-    so.recorder = options.recorder;
-    so.shard = k;
     so.host_observer = options.host_observer;
     so.dispatcher = options.dispatcher;
     Result<serve::StreamService> service =

@@ -63,10 +63,10 @@ struct ClusterOptions {
   /// Shard count = independent simulated devices (>= 1).
   std::uint32_t devices = 2;
 
-  /// Per-shard engine template. The deprecated gpu/device_memory_bytes
-  /// fields size each shard's Device; telemetry.metrics_prefix and
-  /// host_observer are managed by the Router (per-shard prefixes, shared
-  /// observer seam) and must be left defaulted.
+  /// Per-shard engine template. Its gpu/device_memory_bytes fields size each
+  /// shard's Device. Its `telemetry` is managed by the Router, which builds
+  /// one telemetry::Sinks per shard from the fields below, and must be left
+  /// defaulted (validate() rejects anything else).
   EngineOptions engine;
 
   /// Per-shard serve knobs (see serve::ServeOptions).
@@ -90,8 +90,7 @@ struct ClusterOptions {
   /// router.scan spans plus one per shard (wired into the shard's serve and
   /// engine layers), mints a TraceContext per request, and write_trace()
   /// exports the joined fleet trace — router process, per-shard host
-  /// processes, per-shard simulated-device processes. Leave
-  /// engine.telemetry.tracer null with this on (the Router manages it).
+  /// processes, per-shard simulated-device processes.
   bool trace = false;
 
   /// Flight recorder shared by every layer (admission, batch, lease, shard

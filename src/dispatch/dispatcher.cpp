@@ -14,14 +14,14 @@ Dispatcher::Dispatcher(const ac::Dfa& dfa, const DispatcherOptions& options)
       model_(options.cost) {
   if (options_.metrics != nullptr) {
     telemetry::MetricsRegistry& m = *options_.metrics;
-    const std::string& p = options_.metrics_prefix;
     for (int b = 0; b < kBackendCount; ++b)
       decision_counters_[b] = &m.counter(
-          p + ".decisions." + to_string(static_cast<Backend>(b)));
-    mispredict_counter_ = &m.counter(p + ".mispredictions");
-    tune_hit_counter_ = &m.counter(p + ".tune_cache.hits");
-    tune_miss_counter_ = &m.counter(p + ".tune_cache.misses");
-    tune_counter_ = &m.counter(p + ".tune_cache.tunes");
+          std::string("dispatch.decisions.") +
+          to_string(static_cast<Backend>(b)));
+    mispredict_counter_ = &m.counter("dispatch.mispredictions");
+    tune_hit_counter_ = &m.counter("dispatch.tune_cache.hits");
+    tune_miss_counter_ = &m.counter("dispatch.tune_cache.misses");
+    tune_counter_ = &m.counter("dispatch.tune_cache.tunes");
   }
 }
 
@@ -184,7 +184,6 @@ Result<DispatchEngine> DispatchEngine::create(
   DeviceOptions dopt;
   dopt.gpu = options.engine.gpu;
   dopt.memory_bytes = options.engine.device_memory_bytes;
-  dopt.host_observer = options.engine.host_observer;
   Result<Device> created = Device::create(dopt);
   if (!created.is_ok()) return created.status();
   // The Engine keeps a reference to its Device, so the Device must live at

@@ -62,7 +62,6 @@ struct DispatcherOptions {
   /// Optional dispatch.* series (decisions per backend, mispredictions,
   /// tune-cache traffic). Null = counters still kept in-process.
   telemetry::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "dispatch";
 };
 
 struct Decision {

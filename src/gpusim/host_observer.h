@@ -17,7 +17,7 @@
 // computes vector-clock happens-before, and reports schedules that are only
 // correct by timing luck. Every hook site is guarded by a null check, so an
 // unattached pipeline pays one predictable branch per action — the same
-// zero-cost-when-off contract as AccessObserver and TelemetryOptions.
+// zero-cost-when-off contract as AccessObserver and telemetry::Sinks.
 //
 // This header lives in gpusim (not hostcheck) because gpusim is the lowest
 // layer every instrumented component already links: StreamSim reports its

@@ -68,11 +68,10 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
     eo.split_readback = config.split_readback;
     eo.batch_bytes = spec.batch_bytes;
     eo.match_capacity = capacity;
-    eo.host_observer = &recorder;
     DeviceOptions dopt;
     dopt.gpu = eo.gpu;
     dopt.memory_bytes = eo.device_memory_bytes;
-    dopt.host_observer = eo.host_observer;
+    dopt.host_observer = &recorder;
     Result<Device> device = Device::create(dopt);
     ACGPU_CHECK(device.is_ok(), "hostcheck audit: Device::create failed on "
                                  << workload.name() << ": "

@@ -1,8 +1,6 @@
 // acgpu::Device — explicit ownership of one simulated GPU.
 //
-// Before the cluster tier, Engine::create built a private DeviceMemory and
-// the process was implicitly single-device. Device splits that out: it owns
-// the simulated device's identity (a process-unique id from
+// A Device owns the simulated device's identity (a process-unique id from
 // gpusim/device_registry.h), its memory arena, the HostObserver seam, and a
 // scan mutex that serializes the engines sharing it — one process, many
 // devices, many engines:
@@ -20,10 +18,6 @@
 // interleave on one device. Engines on DIFFERENT devices are fully
 // independent and scan concurrently — that is the property the cluster tier
 // scales on.
-//
-// The legacy single-arg Engine::create(patterns, options) remains as a
-// deprecated shim that creates a private Device per engine (see
-// docs/PIPELINE.md for the migration note).
 #pragma once
 
 #include <cstdint>
@@ -43,9 +37,8 @@ struct DeviceOptions {
   std::size_t memory_bytes = 256u << 20;
 
   /// Hostcheck audit hook (gpusim/host_observer.h): the device's scan mutex
-  /// registers here, and engines bound to the device inherit it for their
-  /// stream/lease records unless they were wired to an observer explicitly.
-  /// Null = off, zero cost.
+  /// registers here, and every engine bound to the device reports its
+  /// stream/lease records to it. Null = off, zero cost.
   gpusim::HostObserver* host_observer = nullptr;
 
   /// Telemetry/trace label; "" derives "device.<id>" from the global id.

@@ -8,22 +8,16 @@
 // (kernels::run_ac_kernel and friends) remain available for harness/ablation
 // code but are internal API — see the migration notes in README.md.
 //
-// Ownership (since the cluster tier): an Engine is a lightweight automaton +
-// pipeline bound to an acgpu::Device (pipeline/device.h), which owns the
-// simulated GPU — its memory arena, identity, observer seam, and the scan
-// mutex serializing the engines that share it:
+// Ownership: an Engine is a lightweight automaton + pipeline bound to an
+// acgpu::Device (pipeline/device.h), which owns the simulated GPU — its
+// memory arena, identity, observer seam, and the scan mutex serializing the
+// engines that share it:
 //
 //   auto device = acgpu::Device::create();
 //   auto engine = acgpu::Engine::create(device.value(),
 //                                       ac::PatternSet({"he", "she"}));
 //   auto scan = engine.value().scan(text);
 //   for (ac::Match m : scan.value().matches) { ... }
-//
-// DEPRECATED: the single-argument Engine::create(patterns, options) remains
-// as a shim that creates a private Device per engine (EngineOptions::gpu /
-// device_memory_bytes / host_observer configure it). It keeps old call sites
-// compiling but cannot share a device across engines — new code should
-// create the Device explicitly. Migration notes: docs/PIPELINE.md.
 #pragma once
 
 #include <cstdint>
@@ -40,40 +34,10 @@
 #include "kernels/pfac_kernel.h"
 #include "pipeline/device.h"
 #include "pipeline/pipeline.h"
+#include "telemetry/sinks.h"
 #include "util/error.h"
 
 namespace acgpu {
-
-/// Observability sinks for an Engine (telemetry/metrics_registry.h,
-/// telemetry/trace.h). Both default to null = telemetry off, which costs
-/// nothing on the scan path beyond a branch per batch. When set, every scan
-/// publishes gpusim.*/pipeline.* series into the registry and records
-/// engine.scan -> pipeline.run -> pipeline.batch -> kernel.simulate spans;
-/// pipeline/telemetry_export.h turns the result + tracer into a Chrome
-/// trace, and examples/acgpu_prof.cpp is the ready-made frontend.
-struct TelemetryOptions {
-  telemetry::MetricsRegistry* metrics = nullptr;
-  telemetry::Tracer* tracer = nullptr;
-  /// Always-on flight recorder (telemetry/flight_recorder.h): batch
-  /// issue/retire and staging-lease events land in its per-thread rings for
-  /// postmortem dumps. Null = no recording (a branch per event).
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Severity/rate-limited log sink (telemetry/logger.h) for one-time
-  /// warnings (stream clamps) and failure events. Null = the process-global
-  /// logger, which writes to stderr.
-  telemetry::Logger* logger = nullptr;
-  /// Prepended to every published series name ("device.3." turns
-  /// pipeline.runs into device.3.pipeline.runs). The cluster tier sets it
-  /// per shard so N devices' series never collide; "" keeps the classic
-  /// single-device names.
-  std::string metrics_prefix;
-  /// Shard/device index stamped on flight-recorder events (0 standalone).
-  std::uint32_t shard = 0;
-
-  bool enabled() const {
-    return metrics != nullptr || tracer != nullptr || recorder != nullptr;
-  }
-};
 
 struct EngineOptions {
   /// Device kernel: the paper's shared-memory kernel (default), the
@@ -104,9 +68,10 @@ struct EngineOptions {
   /// Timed samples waves for throughput studies and skips match collection.
   gpusim::SimMode mode = gpusim::SimMode::Functional;
 
-  /// DEPRECATED (private-Device shim only): simulated device and its memory
-  /// budget for the legacy create(patterns, options) path. Ignored by the
-  /// Device& overloads — the explicit Device carries its own config.
+  /// Simulated device and its memory budget for the facades that create
+  /// their own Device (serve::StreamService without a device,
+  /// dispatch::DispatchEngine, cluster::Router's shards). Engine::create
+  /// ignores them — the Device it binds to carries its own config.
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   std::size_t device_memory_bytes = 256u << 20;
 
@@ -115,15 +80,14 @@ struct EngineOptions {
   std::uint32_t threads_per_block = 256;
   std::uint32_t match_capacity = 64;
 
-  /// Metrics/tracing sinks; zero-cost when left defaulted (off).
-  TelemetryOptions telemetry;
-
-  /// Host-pipeline audit hook (gpusim/host_observer.h): when set, every
-  /// scan records its stream ops, staging leases, and ordering edges for
-  /// the hostcheck happens-before auditor. Null = inherit the Device's
-  /// observer (the usual wiring); set explicitly to divert one engine's
-  /// records elsewhere.
-  gpusim::HostObserver* host_observer = nullptr;
+  /// Telemetry sinks (telemetry/sinks.h), handed unchanged to the pipeline;
+  /// zero-cost when left defaulted (off). When set, every scan publishes
+  /// gpusim.*/pipeline.* series and records engine.scan -> pipeline.run ->
+  /// pipeline.batch -> kernel.simulate spans; pipeline/telemetry_export.h
+  /// turns the result + tracer into a Chrome trace, and
+  /// examples/acgpu_prof.cpp is the ready-made frontend. Host-pipeline audit
+  /// records go to the bound Device's observer (DeviceOptions::host_observer).
+  telemetry::Sinks telemetry;
 };
 
 /// One scan's output: global-offset matches plus the pipeline's simulated
@@ -145,20 +109,6 @@ class Engine {
   static Result<Engine> create(Device& device, ac::Dfa dfa,
                                const EngineOptions& options = {});
 
-  /// DEPRECATED single-device shims: create a private Device per engine
-  /// from EngineOptions::gpu / device_memory_bytes / host_observer. Every
-  /// internal caller has been ported to the explicit-Device overloads (or
-  /// to a facade that owns its device — serve::StreamService,
-  /// dispatch::DispatchEngine); -Werror builds flag new uses. See
-  /// docs/PIPELINE.md for the migration recipe.
-  [[deprecated(
-      "create a Device explicitly and call Engine::create(device, ...)")]]
-  static Result<Engine> create(const ac::PatternSet& patterns,
-                               const EngineOptions& options = {});
-  [[deprecated(
-      "create a Device explicitly and call Engine::create(device, ...)")]]
-  static Result<Engine> create(ac::Dfa dfa, const EngineOptions& options = {});
-
   /// Matches `text` through the batched multi-stream pipeline. Safe to call
   /// repeatedly and from any thread — scans serialize on the device's scan
   /// mutex. Fails kUnavailable when the device is marked failed.
@@ -173,8 +123,7 @@ class Engine {
   /// hostcheck reports in a multi-engine process.
   std::uint32_t id() const { return id_; }
 
-  /// The device the engine is bound to (the private one on the deprecated
-  /// path). Stable for the engine's lifetime.
+  /// The device the engine is bound to. Stable for the engine's lifetime.
   Device& device() { return *device_; }
   const Device& device() const { return *device_; }
 
@@ -188,14 +137,12 @@ class Engine {
  private:
   Engine() = default;
 
-  static Result<Engine> build(Device& device, std::unique_ptr<Device> owned,
-                              const ac::PatternSet* patterns, ac::Dfa* dfa,
-                              const EngineOptions& options);
+  static Result<Engine> build(Device& device, const ac::PatternSet* patterns,
+                              ac::Dfa* dfa, const EngineOptions& options);
 
   EngineOptions options_;
   std::uint32_t id_ = 0;
-  Device* device_ = nullptr;             ///< bound device (never null once built)
-  std::unique_ptr<Device> owned_device_; ///< deprecated shim path only
+  Device* device_ = nullptr;  ///< bound device (never null once built)
   ac::PatternSet patterns_;
   // unique_ptrs keep the Engine movable: DeviceDfa/DevicePfac hold references
   // into the device arena and dfa_/pfac_, which must stay at stable addresses.

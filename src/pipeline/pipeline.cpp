@@ -225,14 +225,15 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   PipelineResult result;
   if (text.empty()) return result;
 
-  ACGPU_TRACE_SPAN(opt.tracer, "pipeline.run");
+  const telemetry::Sinks& sinks = opt.telemetry;
+  ACGPU_TRACE_SPAN(sinks.tracer, "pipeline.run");
 
   const std::uint32_t max_len = opt.variant == KernelVariant::kPfac
                                     ? dpfac_->max_pattern_length()
                                     : ddfa_->max_pattern_length();
   const StagingPlan plan = resolve_staging(opt, text.size());
   if (plan.streams_clamped)
-    warn_streams_clamped(opt.logger, opt.streams, plan.pool_depth,
+    warn_streams_clamped(sinks.logger, opt.streams, plan.pool_depth,
                          plan.effective_streams);
 
   Result<BatchGeometry> geo =
@@ -293,9 +294,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // Readback staging lease: held from here (the batch's kernel has long
       // ended) to D2H end, recycled independently of the upload pool.
       const StagingPool::Lease rb = readback.try_acquire().value();
-      if (opt.recorder != nullptr)
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseGrant, opt.shard,
-                             rb.index, 0, /*code=*/1);
+      if (sinks.recorder != nullptr)
+        sinks.recorder->record(telemetry::FlightEventKind::kLeaseGrant,
+                               sinks.shard, rb.index, 0, /*code=*/1);
       t.readback_wait_seconds =
           std::max(0.0, rb.ready - sim.stream_ready(pending->stream));
       sim.wait_until(pending->stream, rb.ready);
@@ -303,11 +304,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           pending->stream, t.output_bytes, "d2h b" + std::to_string(t.index));
       t.complete_seconds = sim.op_end(d2h_id);
       readback.release(rb.index, t.complete_seconds);
-      if (opt.recorder != nullptr) {
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             opt.shard, rb.index, 0, /*code=*/1);
-        opt.recorder->record(telemetry::FlightEventKind::kBatchRetire,
-                             opt.shard, t.index, t.output_bytes);
+      if (sinks.recorder != nullptr) {
+        sinks.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
+                               sinks.shard, rb.index, 0, /*code=*/1);
+        sinks.recorder->record(telemetry::FlightEventKind::kBatchRetire,
+                               sinks.shard, t.index, t.output_bytes);
       }
       completion.push_back(t.complete_seconds);
       t.queue_depth = 1;
@@ -337,7 +338,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const gpusim::StreamId stream =
           static_cast<gpusim::StreamId>(b % plan.effective_streams);
 
-      ACGPU_TRACE_SPAN(opt.tracer, "pipeline.batch");
+      ACGPU_TRACE_SPAN(sinks.tracer, "pipeline.batch");
       BatchTrace trace;
       trace.index = b;
       trace.stream = stream;
@@ -351,11 +352,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // single-threaded driver releases every lease within its iteration,
       // so the pool cannot be exhausted here (value() is safe).
       const StagingPool::Lease up = upload.try_acquire().value();
-      if (opt.recorder != nullptr) {
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseGrant, opt.shard,
-                             up.index, 0, /*code=*/0);
-        opt.recorder->record(telemetry::FlightEventKind::kBatchIssue, opt.shard,
-                             b, slice);
+      if (sinks.recorder != nullptr) {
+        sinks.recorder->record(telemetry::FlightEventKind::kLeaseGrant,
+                               sinks.shard, up.index, 0, /*code=*/0);
+        sinks.recorder->record(telemetry::FlightEventKind::kBatchIssue,
+                               sinks.shard, b, slice);
       }
       const gpusim::DevAddr dst = up.addr;
       trace.blocked_seconds = std::max(0.0, up.ready - sim.stream_ready(stream));
@@ -382,7 +383,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         // Recycle the previous batch's match buffer — unless an access
         // observer is attached, whose cross-launch global-write shadow would
         // misread address reuse as a race.
-        ACGPU_TRACE_SPAN(opt.tracer, "kernel.simulate");
+        ACGPU_TRACE_SPAN(sinks.tracer, "kernel.simulate");
         if (opt.observer == nullptr) mem_.release(batch_mark);
 
         gpusim::LaunchOptions sim_opt;
@@ -451,9 +452,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // buffer recycles at kernel end, not D2H end — what lets a deep pool
       // keep feeding lanes while readbacks drain.
       upload.release(up.index, sim.stream_ready(stream));
-      if (opt.recorder != nullptr)
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             opt.shard, up.index, 0, /*code=*/0);
+      if (sinks.recorder != nullptr)
+        sinks.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
+                               sinks.shard, up.index, 0, /*code=*/0);
 
       // Issue the PREVIOUS batch's D2H now that this batch's H2D and kernel
       // are in the copy/compute queues, then hold this one back in turn.
@@ -495,7 +496,8 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
               if (a.issue_index != b.issue_index) return a.issue_index < b.issue_index;
               return a.index < b.index;
             });
-  if (opt.metrics != nullptr) publish_run(result, *opt.metrics, opt.metrics_prefix);
+  if (sinks.metrics != nullptr)
+    publish_run(result, *sinks.metrics, sinks.metrics_prefix);
   return result;
 }
 

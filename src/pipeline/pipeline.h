@@ -48,14 +48,8 @@
 #include "gpusim/stream.h"
 #include "kernels/ac_kernel.h"
 #include "kernels/pfac_kernel.h"
+#include "telemetry/sinks.h"
 #include "util/error.h"
-
-namespace acgpu::telemetry {
-class MetricsRegistry;
-class Tracer;
-class FlightRecorder;
-class Logger;
-}
 
 namespace acgpu::pipeline {
 
@@ -121,24 +115,13 @@ struct PipelineOptions {
   /// thread interleavings inside one kernel). Null = off, zero cost.
   gpusim::HostObserver* host_observer = nullptr;
 
-  /// Telemetry sinks (telemetry/metrics_registry.h, telemetry/trace.h).
-  /// Null = off, and the hot path pays one branch per batch. When set, the
-  /// run publishes gpusim.* and pipeline.* series into the registry and
-  /// records host-side spans (run -> batch -> kernel) in the tracer.
-  telemetry::MetricsRegistry* metrics = nullptr;
-  telemetry::Tracer* tracer = nullptr;
-  /// Flight recorder (telemetry/flight_recorder.h): batch issue/retire and
-  /// staging-lease grant/release events. Null = off, one branch per event.
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Log sink for one-time warnings (the stream clamp). Null = the
-  /// process-global logger (stderr).
-  telemetry::Logger* logger = nullptr;
-  /// Prepended to every published series name ("device.3." =>
-  /// device.3.pipeline.runs, device.3.gpusim.tex.hits, ...). The cluster
-  /// tier sets one per shard; "" keeps the classic single-device names.
-  std::string metrics_prefix;
-  /// Shard/device index stamped on flight-recorder events (0 standalone).
-  std::uint32_t shard = 0;
+  /// Telemetry sinks (telemetry/sinks.h). Null = off, and the hot path
+  /// pays one branch per batch. When set, the run publishes gpusim.* and
+  /// pipeline.* series under `metrics_prefix`, records host-side spans
+  /// (run -> batch -> kernel), stamps batch issue/retire and staging-lease
+  /// events with `shard`, and sends the one-time stream-clamp warning to
+  /// `logger` (null = the process-global logger).
+  telemetry::Sinks telemetry;
 
   /// Rejects inconsistent combinations (PFAC with a store scheme override,
   /// zero streams, ...). Streams above the pool depth are NOT an error —

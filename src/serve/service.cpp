@@ -154,13 +154,21 @@ struct StreamService::Impl {
       scheduler.attach_observer(options.host_observer);
     }
     if (options.metrics != nullptr) {
-      m.resolve(*options.metrics, options.metrics_prefix);
+      m.resolve(*options.metrics, options.engine.telemetry.metrics_prefix);
       has_metrics = true;
     }
     if (options.background) worker = std::thread([this] { worker_loop(); });
   }
 
   ~Impl() { shutdown(); }
+
+  /// Flight-recorder event, stamped with the engine's shard index.
+  void record(telemetry::FlightEventKind kind, std::uint64_t a,
+              std::uint64_t b = 0, std::uint32_t code = 0) const {
+    const telemetry::Sinks& sinks = options.engine.telemetry;
+    if (sinks.recorder != nullptr)
+      sinks.recorder->record(kind, sinks.shard, a, b, code);
+  }
 
   void publish_queue_locked() {
     stats.queued_chunks = scheduler.queued_chunks();
@@ -304,17 +312,9 @@ StreamService::~StreamService() {
 
 namespace {
 
-/// The service-level hostcheck hook covers the engine too, unless the
-/// caller wired the engine to a different observer explicitly.
-ServeOptions with_forwarded_observer(const ServeOptions& options) {
-  ServeOptions opts = options;
-  if (opts.host_observer != nullptr && opts.engine.host_observer == nullptr)
-    opts.engine.host_observer = opts.host_observer;
-  return opts;
-}
-
 /// Resolves the device the service's engine binds to: the caller's shared
-/// Device, or a private one sized by the engine options' gpu/memory fields.
+/// Device, or a private one sized by the engine options' gpu/memory fields
+/// and observed by the service's hostcheck hook.
 /// On success `*device` points at the live device (owned or not).
 Status resolve_device(const ServeOptions& opts,
                       std::unique_ptr<Device>& owned, Device** device) {
@@ -323,7 +323,7 @@ Status resolve_device(const ServeOptions& opts,
   DeviceOptions dopt;
   dopt.gpu = opts.engine.gpu;
   dopt.memory_bytes = opts.engine.device_memory_bytes;
-  dopt.host_observer = opts.engine.host_observer;
+  dopt.host_observer = opts.host_observer;
   Result<Device> dev = Device::create(dopt);
   if (!dev.is_ok()) return dev.status();
   owned = std::make_unique<Device>(std::move(dev.value()));
@@ -336,21 +336,20 @@ Status resolve_device(const ServeOptions& opts,
 Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
                                             const ServeOptions& options) {
   if (Status s = options.validate(); !s) return s;
-  const ServeOptions opts = with_forwarded_observer(options);
   std::unique_ptr<Device> owned;
   Device* device = nullptr;
-  if (Status s = resolve_device(opts, owned, &device); !s) return s;
-  Result<Engine> engine = Engine::create(*device, patterns, opts.engine);
+  if (Status s = resolve_device(options, owned, &device); !s) return s;
+  Result<Engine> engine = Engine::create(*device, patterns, options.engine);
   if (!engine.is_ok()) return engine.status();
   std::unique_ptr<ac::PfacAutomaton> pfac;
-  if (opts.engine.variant == pipeline::KernelVariant::kPfac) {
+  if (options.engine.variant == pipeline::KernelVariant::kPfac) {
     try {
       pfac = std::make_unique<ac::PfacAutomaton>(patterns);
     } catch (const std::exception& e) {
       return Status::from_exception(e);
     }
   }
-  return StreamService(std::make_unique<Impl>(opts, std::move(owned),
+  return StreamService(std::make_unique<Impl>(options, std::move(owned),
                                               std::move(engine).value(),
                                               std::move(pfac)));
 }
@@ -358,15 +357,14 @@ Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
 Result<StreamService> StreamService::create(ac::Dfa dfa,
                                             const ServeOptions& options) {
   if (Status s = options.validate(); !s) return s;
-  const ServeOptions opts = with_forwarded_observer(options);
   std::unique_ptr<Device> owned;
   Device* device = nullptr;
-  if (Status s = resolve_device(opts, owned, &device); !s) return s;
+  if (Status s = resolve_device(options, owned, &device); !s) return s;
   Result<Engine> engine =
-      Engine::create(*device, std::move(dfa), opts.engine);
+      Engine::create(*device, std::move(dfa), options.engine);
   if (!engine.is_ok()) return engine.status();
   return StreamService(std::make_unique<Impl>(
-      opts, std::move(owned), std::move(engine).value(), nullptr));
+      options, std::move(owned), std::move(engine).value(), nullptr));
 }
 
 Result<SessionId> StreamService::open() {
@@ -383,9 +381,7 @@ Result<SessionId> StreamService::open() {
     ++im.stats.sessions_evicted;
     im.scheduler.forget(*evicted);
     im.publish_queue_locked();
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kEviction,
-                                  im.options.shard, *evicted);
+    im.record(telemetry::FlightEventKind::kEviction, *evicted);
   }
   if (im.has_metrics) {
     im.m.opened->add(1);
@@ -409,10 +405,8 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
   if (Status quota = s->admit_bytes(chunk.size()); !quota) {
     ++im.stats.quota_rejects;
     if (im.has_metrics) im.m.quota_rejects->add(1);
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kReject,
-                                  im.options.shard, id, chunk.size(),
-                                  static_cast<std::uint32_t>(quota.code()));
+    im.record(telemetry::FlightEventKind::kReject, id, chunk.size(),
+              static_cast<std::uint32_t>(quota.code()));
     return quota;
   }
   if (!chunk.empty()) {
@@ -428,10 +422,8 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
     if (!admit) {
       ++im.stats.feeds_rejected;
       if (im.has_metrics) im.m.feeds_rejected->add(1);
-      if (im.options.recorder != nullptr)
-        im.options.recorder->record(telemetry::FlightEventKind::kReject,
-                                    im.options.shard, id, chunk.size(),
-                                    static_cast<std::uint32_t>(admit.code()));
+      im.record(telemetry::FlightEventKind::kReject, id, chunk.size(),
+                static_cast<std::uint32_t>(admit.code()));
       return admit;
     }
   }
@@ -454,9 +446,7 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
                 "admission re-check failed after acceptance: " << admitted.to_string());
     im.publish_queue_locked();
   }
-  if (im.options.recorder != nullptr)
-    im.options.recorder->record(telemetry::FlightEventKind::kAdmission,
-                                im.options.shard, id, chunk.size());
+  im.record(telemetry::FlightEventKind::kAdmission, id, chunk.size());
   if (im.has_metrics) {
     im.m.feeds_accepted->add(1);
     im.m.feed_bytes->add(chunk.size());
@@ -556,9 +546,7 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
     ++im.stats.sessions_evicted;
     im.scheduler.forget(*evicted);
     im.publish_queue_locked();
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kEviction,
-                                  im.options.shard, *evicted);
+    im.record(telemetry::FlightEventKind::kEviction, *evicted);
   }
   if (im.has_metrics) {
     im.m.imported->add(1);

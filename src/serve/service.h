@@ -74,9 +74,9 @@ struct ServeOptions {
   EngineOptions engine;
 
   /// The device to bind the engine to. Null = the service creates a private
-  /// device from the deprecated EngineOptions::gpu/device_memory_bytes
-  /// fields (the pre-cluster behavior). The cluster tier passes one
-  /// externally owned acgpu::Device per shard; it must outlive the service.
+  /// device sized by EngineOptions::gpu/device_memory_bytes and observed by
+  /// `host_observer`. The cluster tier passes one externally owned
+  /// acgpu::Device per shard; it must outlive the service.
   Device* device = nullptr;
 
   /// Adaptive backend routing (dispatch/dispatcher.h): when set, every
@@ -108,13 +108,12 @@ struct ServeOptions {
   bool background = false;
   AdmissionPolicy admission = AdmissionPolicy::kDefault;
 
-  /// serve.* series sink; null = off. (Engine telemetry is configured
-  /// separately through engine.telemetry.)
+  /// serve.* series sink; null = off. Series names take
+  /// engine.telemetry.metrics_prefix ("device.3." => device.3.serve.batches);
+  /// admission/reject/eviction events go to engine.telemetry.recorder,
+  /// stamped with engine.telemetry.shard. The engine's own registry is
+  /// engine.telemetry.metrics, set independently.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Prepended to every published series name ("device.3." =>
-  /// device.3.serve.batches). The cluster tier sets one per shard; "" keeps
-  /// the classic single-service names.
-  std::string metrics_prefix;
   /// Host-span sink for serve.superbatch spans. The span is opened on the
   /// scanning thread (the worker in background mode) and annotated with the
   /// member chunks' trace ids, so one superbatch joins against every
@@ -122,15 +121,12 @@ struct ServeOptions {
   /// engine.telemetry.tracer — the cluster tier points both at the shard's
   /// tracer so engine.scan nests under serve.superbatch.
   telemetry::Tracer* tracer = nullptr;
-  /// Flight recorder for admission/reject/eviction events; null = off.
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Shard index stamped on recorder events (0 standalone).
-  std::uint32_t shard = 0;
 
   /// Hostcheck audit hook (gpusim/host_observer.h): when set, the service
-  /// mutex, the scheduler/session-manager leaf mutexes, and — unless
-  /// engine.host_observer is set separately — every Engine scan report
-  /// their lock and stream activity to the auditor. Null = off, zero cost.
+  /// mutex and the scheduler/session-manager leaf mutexes report their lock
+  /// activity to the auditor. Engine scans report to the device's observer:
+  /// the private device gets this one; a caller-provided `device` keeps its
+  /// own. Null = off, zero cost.
   gpusim::HostObserver* host_observer = nullptr;
 
   Status validate() const;

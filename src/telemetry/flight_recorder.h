@@ -19,7 +19,7 @@
 // the head re-check. The registration mutex is taken once per thread.
 //
 // A null FlightRecorder* everywhere means recording is off and costs one
-// branch — the "exactly zero when TelemetryOptions is null" half of the CI
+// branch — the "exactly zero when telemetry::Sinks is null" half of the CI
 // overhead gate.
 #pragma once
 

@@ -277,6 +277,89 @@ TEST(ClusterObservabilityTest, ValidateRejectsRouterManagedTelemetryFields) {
     EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
               StatusCode::kInvalidArgument);
   }
+  // The Router builds every shard's telemetry itself, so any engine-level
+  // sink would be overwritten without a word: each one is rejected.
+  {
+    cluster::ClusterOptions opt = base_options(2);
+    telemetry::MetricsRegistry registry;
+    opt.engine.telemetry.metrics = &registry;
+    EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    cluster::ClusterOptions opt = base_options(2);
+    telemetry::Logger logger;
+    opt.engine.telemetry.logger = &logger;
+    EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    cluster::ClusterOptions opt = base_options(2);
+    opt.engine.telemetry.shard = 1;
+    EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    cluster::ClusterOptions opt = base_options(2);
+    ASSERT_FALSE(opt.trace);
+    telemetry::Tracer tracer;
+    opt.engine.telemetry.tracer = &tracer;
+    EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// Serve-layer and pipeline-layer events of one shard carry that shard's
+// index: both read it from the single telemetry::Sinks the Router builds
+// per shard.
+TEST(ClusterObservabilityTest, RecorderEventsCarryTheirShardIndex) {
+  telemetry::FlightRecorder recorder;
+  cluster::ClusterOptions opt = base_options(2);
+  opt.recorder = &recorder;
+  Result<cluster::Router> router = cluster::Router::create(patterns(), opt);
+  ASSERT_TRUE(router.is_ok()) << router.status().to_string();
+  cluster::Router& cl = router.value();
+
+  // Least-loaded placement homes the second session on shard 1.
+  ASSERT_TRUE(cl.open().is_ok());
+  const serve::SessionId id = cl.open().value();
+  ASSERT_EQ(cl.shard_of(id).value(), 1u);
+  ASSERT_TRUE(cl.feed(id, "ushers and his hershey").is_ok());
+  ASSERT_TRUE(cl.feed(id, " shed; ab abba").is_ok());
+  ASSERT_TRUE(cl.drain().is_ok());
+  int admissions = 0;
+  for (const telemetry::FlightEvent& e : recorder.events()) {
+    if (e.kind != telemetry::FlightEventKind::kAdmission || e.a != id) continue;
+    EXPECT_EQ(e.shard, 1u);
+    ++admissions;
+  }
+  EXPECT_EQ(admissions, 2);
+
+  // A bulk scan over both shards issues batches from each, stamped 0 and 1.
+  const auto batch_issues = [&recorder](std::uint32_t shard) {
+    int n = 0;
+    for (const telemetry::FlightEvent& e : recorder.events())
+      if (e.kind == telemetry::FlightEventKind::kBatchIssue && e.shard == shard)
+        ++n;
+    return n;
+  };
+  const std::string text = "she sells seashells; his hers abba ushers";
+  ASSERT_EQ(cl.scan(text).value().devices_used, 2u);
+  const int shard0 = batch_issues(0);
+  const int shard1 = batch_issues(1);
+  EXPECT_GT(shard0, 0);
+  EXPECT_GT(shard1, 0);
+  std::set<std::uint32_t> stamps;
+  for (const telemetry::FlightEvent& e : recorder.events())
+    if (e.kind == telemetry::FlightEventKind::kBatchIssue) stamps.insert(e.shard);
+  EXPECT_EQ(stamps, (std::set<std::uint32_t>{0, 1}));
+
+  // With shard 0 drained, shard 1 runs the whole next scan: every batch it
+  // issues is stamped 1.
+  ASSERT_TRUE(cl.drain_shard(0).is_ok());
+  ASSERT_EQ(cl.scan(text).value().devices_used, 1u);
+  EXPECT_EQ(batch_issues(0), shard0);
+  EXPECT_GT(batch_issues(1), shard1);
 }
 
 }  // namespace

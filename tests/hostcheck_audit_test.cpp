@@ -54,7 +54,6 @@ TEST(HostcheckAudit, RepeatedScansOnOneEngineStayClean) {
   EngineOptions eo;
   eo.batch_bytes = 1024;
   eo.match_capacity = 4096;
-  eo.host_observer = &recorder;
   DeviceOptions dopt;
   dopt.host_observer = &recorder;
   Result<Device> device = Device::create(dopt);
